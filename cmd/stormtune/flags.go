@@ -5,13 +5,67 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"net"
+	"net/http"
+	"os"
 	"strings"
 	"time"
 
 	"stormtune"
 )
+
+// gpWindow is the sliding GP window (MaxGPPoints) every CLI session
+// tunes with.
+const gpWindow = 60
+
+// tunerOptions completes the options of one tune or fleet session: the
+// paper's cluster, the CLI's GP window, and the named strategy — pla
+// and ipla run as custom linear strategies with the paper's
+// stop-after-3-zeros rule, ibo searches the informed hints. opts must
+// already carry the template.
+func tunerOptions(t *stormtune.Topology, strategy string, opts stormtune.TunerOptions) (stormtune.TunerOptions, error) {
+	cl := stormtune.PaperCluster()
+	opts.Cluster = &cl
+	opts.MaxGPPoints = gpWindow
+	switch strategy {
+	case "pla":
+		opts.Strategy = stormtune.NewPLA(t, *opts.Template)
+		opts.StopAfterZeros = 3
+	case "ipla":
+		opts.Strategy = stormtune.NewIPLA(t, *opts.Template)
+		opts.StopAfterZeros = 3
+	case "bo":
+	case "ibo":
+		opts.Set = stormtune.InformedHints
+	default:
+		return opts, fmt.Errorf("unknown strategy %q", strategy)
+	}
+	return opts, nil
+}
+
+// startDashboard binds addr synchronously — a bad address or taken
+// port fails the command before the run starts — and serves h on it in
+// the background. Call the returned stop once the run is over: every
+// event is in the recorders by then, so SSE subscribers drain and hang
+// up on their own and the graceful shutdown only bounds the wait.
+func startDashboard(addr string, h http.Handler) (stop func()) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		fatal(fmt.Errorf("dashboard: %w", err))
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() { errc <- stormtune.ServeDashboardListener(ctx, ln, h, 3*time.Second) }()
+	return func() {
+		cancel()
+		if err := <-errc; err != nil {
+			fmt.Fprintln(os.Stderr, "dashboard shutdown:", err)
+		}
+	}
+}
 
 // evalFlags bundles the per-trial evaluation knobs — retry policy,
 // attempt deadline, session archive — shared by the tune, fleet and

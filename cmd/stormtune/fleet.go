@@ -62,7 +62,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"os/signal"
 	"strings"
@@ -206,30 +205,17 @@ func prepareSessions(man *fleetManifest, trialTimeout time.Duration,
 		if err != nil {
 			return nil, fmt.Errorf("session %q: %w", name, err)
 		}
-		clusterSpec := stormtune.PaperCluster()
-		opts := stormtune.TunerOptions{
+		opts, err := tunerOptions(t, strategy, stormtune.TunerOptions{
 			Steps:        s.Steps,
 			Set:          set,
 			Template:     &template,
-			Cluster:      &clusterSpec,
 			Seed:         s.Seed,
-			MaxGPPoints:  60,
 			TrialTimeout: trialTimeout,
 			Recorder:     stormtune.NewRecorder(),
 			Observer:     progress(name),
-		}
-		switch strategy {
-		case "pla":
-			opts.Strategy = stormtune.NewPLA(t, template)
-			opts.StopAfterZeros = 3
-		case "ipla":
-			opts.Strategy = stormtune.NewIPLA(t, template)
-			opts.StopAfterZeros = 3
-		case "bo":
-		case "ibo":
-			opts.Set = stormtune.InformedHints
-		default:
-			return nil, fmt.Errorf("session %q: unknown strategy %q", name, strategy)
+		})
+		if err != nil {
+			return nil, fmt.Errorf("session %q: %w", name, err)
 		}
 		if s.StopAfterZeros > 0 {
 			opts.StopAfterZeros = s.StopAfterZeros
@@ -494,8 +480,7 @@ func runFleet(args []string) {
 	if title == "" {
 		title = "stormtune fleet"
 	}
-	var dashStop context.CancelFunc
-	var dashErr chan error
+	stopDash := func() {}
 	if *dashAddr != "" {
 		dopts := stormtune.FleetDashboardOptions{
 			Title: title,
@@ -508,20 +493,7 @@ func runFleet(args []string) {
 		if pool != nil {
 			dopts.PoolStats = pool.Stats
 		}
-		handler := stormtune.NewFleetDashboard(fleet, dopts)
-		// Bind synchronously so a bad address or taken port fails the
-		// command before any session starts.
-		ln, err := net.Listen("tcp", *dashAddr)
-		if err != nil {
-			fatal(fmt.Errorf("dashboard: %w", err))
-		}
-		var dashCtx context.Context
-		dashCtx, dashStop = context.WithCancel(context.Background())
-		defer dashStop()
-		dashErr = make(chan error, 1)
-		go func() {
-			dashErr <- stormtune.ServeDashboardListener(dashCtx, ln, handler, 3*time.Second)
-		}()
+		stopDash = startDashboard(*dashAddr, stormtune.NewFleetDashboard(fleet, dopts))
 		fmt.Printf("fleet dashboard on http://%s/ — GET /api/fleet, per-session /sessions/<name>/\n",
 			displayAddr(*dashAddr))
 	}
@@ -532,14 +504,7 @@ func runFleet(args []string) {
 	if !*quiet {
 		fmt.Println()
 	}
-	if dashStop != nil {
-		// Every session's pass_completed is in its recorder, so
-		// per-session SSE subscribers drain and hang up on their own.
-		dashStop()
-		if derr := <-dashErr; derr != nil {
-			fmt.Fprintln(os.Stderr, "dashboard shutdown:", derr)
-		}
-	}
+	stopDash()
 	if err != nil {
 		fmt.Printf("fleet stopped early after %s (%v); reporting best so far\n",
 			time.Since(start).Round(time.Millisecond), err)

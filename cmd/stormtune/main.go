@@ -104,7 +104,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -313,20 +312,13 @@ func runServe(args []string) {
 		fmt.Printf("serving %s (%d nodes, fingerprint %s)\n", t.Name, t.N(), stormtune.TopologyFingerprint(t))
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: server.Handler()}
-
+	// Bind first so a bad address or taken port fails before the banner.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fatal(err)
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		<-ctx.Done()
-		// Give in-flight evaluations a drain window; killing them would
-		// cost the tuner a retry attempt per connection reset.
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		srv.Shutdown(shutdownCtx)
-	}()
 
 	auth := "open"
 	if *token != "" {
@@ -341,10 +333,12 @@ func runServe(args []string) {
 	if *flaky > 0 {
 		fmt.Printf("fault injection: 1 in every %d runs fails with HTTP 500\n", *flaky)
 	}
-	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	// The dashboards' server: header and idle timeouts, and on Ctrl-C a
+	// drain window for in-flight evaluations — killing them would cost
+	// the tuner a retry attempt per connection reset.
+	if err := stormtune.ServeDashboardListener(ctx, ln, server.Handler(), 5*time.Second); err != nil {
 		fatal(err)
 	}
-	<-drained
 }
 
 func runTune(args []string) {
@@ -367,8 +361,6 @@ func runTune(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	clusterSpec := stormtune.PaperCluster()
-
 	template := tf.toSpec().template(t)
 
 	set, err := paramSet(*params)
@@ -377,26 +369,14 @@ func runTune(args []string) {
 		os.Exit(2)
 	}
 
-	opts := stormtune.TunerOptions{
+	opts, err := tunerOptions(t, *strategy, stormtune.TunerOptions{
 		Steps:        *steps,
 		Set:          set,
 		Template:     &template,
-		Cluster:      &clusterSpec,
 		Seed:         *tf.seed,
-		MaxGPPoints:  60,
 		TrialTimeout: ef.trialDeadline(),
-	}
-	switch *strategy {
-	case "pla":
-		opts.Strategy = stormtune.NewPLA(t, template)
-		opts.StopAfterZeros = 3
-	case "ipla":
-		opts.Strategy = stormtune.NewIPLA(t, template)
-		opts.StopAfterZeros = 3
-	case "bo":
-	case "ibo":
-		opts.Set = stormtune.InformedHints
-	default:
+	})
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "unknown -strategy %q\n", *strategy)
 		os.Exit(2)
 	}
@@ -520,8 +500,7 @@ func runTune(args []string) {
 		name = opts.Strategy.Name()
 	}
 
-	var dashStop context.CancelFunc
-	var dashErr chan error
+	stopDash := func() {}
 	if *dashAddr != "" {
 		dopts := stormtune.DashboardOptions{
 			Title: "stormtune · " + t.Name,
@@ -533,20 +512,7 @@ func runTune(args []string) {
 		if pool != nil {
 			dopts.PoolStats = pool.Stats
 		}
-		handler := stormtune.NewDashboard(opts.Recorder, dopts)
-		// Bind synchronously so a bad address or taken port fails the
-		// command before the run starts.
-		ln, err := net.Listen("tcp", *dashAddr)
-		if err != nil {
-			fatal(fmt.Errorf("dashboard: %w", err))
-		}
-		var dashCtx context.Context
-		dashCtx, dashStop = context.WithCancel(context.Background())
-		defer dashStop()
-		dashErr = make(chan error, 1)
-		go func() {
-			dashErr <- stormtune.ServeDashboardListener(dashCtx, ln, handler, 3*time.Second)
-		}()
+		stopDash = startDashboard(*dashAddr, stormtune.NewDashboard(opts.Recorder, dopts))
 		fmt.Printf("dashboard on http://%s/ — GET /api/state, SSE /api/events\n", displayAddr(*dashAddr))
 	}
 
@@ -563,15 +529,7 @@ func runTune(args []string) {
 	if !*quiet {
 		fmt.Println()
 	}
-	if dashStop != nil {
-		// The run is over: every event (pass_completed included) is in
-		// the recorder, so SSE subscribers drain and hang up on their
-		// own; the graceful shutdown just bounds the wait.
-		dashStop()
-		if derr := <-dashErr; derr != nil {
-			fmt.Fprintln(os.Stderr, "dashboard shutdown:", derr)
-		}
-	}
+	stopDash()
 	if err != nil {
 		fmt.Printf("session stopped early after %s (%v); reporting best so far\n",
 			time.Since(start).Round(time.Millisecond), err)

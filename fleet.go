@@ -192,11 +192,8 @@ func (fl *FleetLog) MemberState(name string) (*TunerState, error) {
 	if err := json.Unmarshal(ms.State, &st); err != nil {
 		return nil, fmt.Errorf("stormtune: fleet log: decoding %q snapshot: %w", name, err)
 	}
-	if st.Version != tunerStateVersion {
-		return nil, fmt.Errorf("stormtune: fleet log: %q snapshot has unsupported version %d", name, st.Version)
-	}
-	if st.Session == nil {
-		return nil, fmt.Errorf("stormtune: fleet log: %q snapshot has no session", name)
+	if err := st.validate(); err != nil {
+		return nil, fmt.Errorf("stormtune: fleet log: %q snapshot: %w", name, err)
 	}
 	return &st, nil
 }

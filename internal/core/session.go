@@ -400,41 +400,10 @@ func (s *Session) finish(err error) (TuneResult, error) {
 // Run drives the session sequentially: one trial at a time until the
 // budget is spent, the strategy exhausts, the stopping rule fires, or
 // ctx is cancelled (the partial result is returned with ctx's error;
-// an in-flight trial stays pending for a snapshot to carry).
+// an in-flight trial stays pending for a snapshot to carry). It is
+// RunAsync with a single slot.
 func (s *Session) Run(ctx context.Context) (TuneResult, error) {
-	if s.bk == nil {
-		return s.Result(), ErrNoBackend
-	}
-	carry := s.Pending() // trials issued before a snapshot/resume
-	for {
-		if err := ctx.Err(); err != nil {
-			return s.finish(err)
-		}
-		var tr Trial
-		if len(carry) > 0 {
-			tr, carry = carry[0], carry[1:]
-			// Re-dispatching a carried-over trial is a hand-out too; the
-			// event moves it out of "pending" on observers primed from
-			// the snapshot.
-			s.emit(TrialStarted{Trial: tr})
-		} else {
-			trials, err := s.Propose(ctx, 1)
-			if err != nil {
-				return s.finish(err)
-			}
-			if len(trials) == 0 {
-				return s.finish(nil)
-			}
-			tr = trials[0]
-		}
-		res, ok := s.evaluate(ctx, tr)
-		if !ok {
-			return s.finish(ctx.Err())
-		}
-		if err := s.Report(tr, res); err != nil {
-			return s.finish(err)
-		}
-	}
+	return s.RunAsync(ctx, 1)
 }
 
 // RunBatch drives the session in barrier batches: per round up to q
@@ -595,7 +564,7 @@ func (d *dispatchSource) firstErr() error { return d.err }
 // and a replacement proposed, so a slow trial never idles the other
 // slots — the advantage over RunBatch grows with the variance of trial
 // durations. Results are deterministic given the seed and the order in
-// which evaluations complete; at q = 1 the driver is exactly Run.
+// which evaluations complete; q = 1 is the sequential procedure (Run).
 func (s *Session) RunAsync(ctx context.Context, q int) (TuneResult, error) {
 	if s.bk == nil {
 		return s.Result(), ErrNoBackend

@@ -217,6 +217,17 @@ func Serve(ctx context.Context, addr string, h http.Handler, grace time.Duration
 	return ServeListener(ctx, ln, h, grace)
 }
 
+// Connection timeouts of every server ServeListener runs: a client
+// must finish its request headers within readHeaderTimeout, and an
+// idle keep-alive connection is closed after idleTimeout. There is
+// deliberately no read or write timeout — SSE streams and long /run
+// evaluations are legitimately long-lived. Variables so tests can
+// shorten them.
+var (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // ServeListener is Serve over a caller-bound listener, which it takes
 // ownership of. Binding first makes "the address is bad" a synchronous
 // error the caller sees before committing to a run, with no polling.
@@ -224,7 +235,7 @@ func ServeListener(ctx context.Context, ln net.Listener, h http.Handler, grace t
 	if grace <= 0 {
 		grace = 2 * time.Second
 	}
-	srv := &http.Server{Handler: h}
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	select {

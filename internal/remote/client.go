@@ -228,6 +228,8 @@ func (b *Backend) responseError(resp *http.Response, rr RunResponse) error {
 		// Want is filled by the caller that knows the trial; here we only
 		// know what the worker serves.
 		return &UnknownFingerprintError{URL: b.base, Served: rr.Served}
+	case rr.Code == CodeBadRequest:
+		return &BadRequestError{URL: b.base, Status: resp.StatusCode, Detail: msg}
 	case resp.StatusCode == http.StatusTooManyRequests || rr.Code == CodeOverloaded:
 		retryAfter := time.Duration(0)
 		if s := resp.Header.Get("Retry-After"); s != "" {

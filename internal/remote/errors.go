@@ -63,6 +63,26 @@ func (e *UnknownFingerprintError) Error() string {
 // registry will not change between attempts.
 func (e *UnknownFingerprintError) Permanent() bool { return true }
 
+// BadRequestError reports a request the worker rejected as malformed
+// (HTTP 400, or 413 for a body over maxRunBody): retrying the same
+// trial cannot succeed.
+type BadRequestError struct {
+	// URL is the worker base URL.
+	URL string
+	// Status is the HTTP status of the reply.
+	Status int
+	// Detail is the server's error message.
+	Detail string
+}
+
+// Error implements error.
+func (e *BadRequestError) Error() string {
+	return fmt.Sprintf("remote: %s: HTTP %d: %s", e.URL, e.Status, e.Detail)
+}
+
+// Permanent marks the error as unretryable.
+func (e *BadRequestError) Permanent() bool { return true }
+
 // OverloadedError reports an admission-control refusal (HTTP 429): the
 // worker is at capacity and did not start the evaluation. Nothing was
 // lost — the trial can run elsewhere immediately, or here after

@@ -2,9 +2,12 @@ package remote
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -593,5 +596,36 @@ func TestEndToEndSnapshotResumeBitIdentical(t *testing.T) {
 	}
 	if got.BestStep != want.BestStep {
 		t.Fatalf("best step %d, want %d", got.BestStep, want.BestStep)
+	}
+}
+
+// TestRunRejectsOversizedBody: a /run body past maxRunBody is cut off
+// with HTTP 413 and a bad_request code instead of being buffered, and
+// the client maps bad-request replies to a permanent error so the
+// session does not burn retries on them.
+func TestRunRejectsOversizedBody(t *testing.T) {
+	bk, srv := startServer(t, ServerOptions{}, BackendOptions{})
+	body := `{"fingerprint":"` + strings.Repeat("f", maxRunBody) + `"}`
+	resp, err := http.Post(srv.URL+"/run", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var rr RunResponse
+	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || rr.Code != CodeBadRequest {
+		t.Fatalf("oversized body: HTTP %d code %q, want 413 %q", resp.StatusCode, rr.Code, CodeBadRequest)
+	}
+
+	// A config that does not fit the served topology is the bad request
+	// a real client can send; it must come back permanent.
+	_, err = bk.Run(context.Background(), core.Trial{
+		ID: 1, Config: storm.Config{Hints: []int{1}}, RunIndex: 1, Attempt: 1,
+	})
+	var bre *BadRequestError
+	if !errors.As(err, &bre) || !bre.Permanent() {
+		t.Fatalf("err = %v, want a permanent BadRequestError", err)
 	}
 }

@@ -77,6 +77,10 @@ type RunRequest struct {
 	Fingerprint string       `json:"fingerprint,omitempty"`
 }
 
+// maxRunBody bounds a POST /run body. A trial is one configuration —
+// a few hundred hints at most — so honest bodies sit far below it.
+const maxRunBody = 1 << 20
+
 // Machine-readable error codes carried by non-2xx /run replies.
 const (
 	// CodeAuth: missing or wrong bearer token (HTTP 401). Permanent —
@@ -92,7 +96,8 @@ const (
 	// wait, no retry budget is owed.
 	CodeOverloaded = "overloaded"
 	// CodeBadRequest: malformed body or a config that does not fit the
-	// routed topology (HTTP 400).
+	// routed topology (HTTP 400), or a body over maxRunBody (HTTP 413).
+	// Permanent — the same request fails the same way.
 	CodeBadRequest = "bad_request"
 	// CodeEvaluation: the backend lost the measurement (HTTP 502) — the
 	// classic case for the session's RetryPolicy.

@@ -10,21 +10,9 @@
 set -euo pipefail
 
 ADDR="${ARCHIVE_DASH_ADDR:-127.0.0.1:8093}"
-WORKDIR="$(mktemp -d)"
+source "$(dirname "$0")/lib.sh"
 ARCH="$WORKDIR/archive"
-TUNE_PID=""
-cleanup() {
-  # The trap owns cleanup so a failing assertion can never leak the
-  # background tuning process.
-  if [[ -n "$TUNE_PID" ]] && kill -0 "$TUNE_PID" 2>/dev/null; then
-    kill "$TUNE_PID" 2>/dev/null || true
-    wait "$TUNE_PID" 2>/dev/null || true
-  fi
-  rm -rf "$WORKDIR"
-}
-trap cleanup EXIT
-
-go build -o "$WORKDIR/stormtune" ./cmd/stormtune
+build_binaries
 
 # Cold run: nothing archived yet, so no donor exists; the run must say
 # so, finish, and seal its record.
@@ -63,16 +51,8 @@ echo "archive show: ok"
 "$WORKDIR/stormtune" tune -topology small -seed 2 -steps 120 \
   -archive "$ARCH" -dash "$ADDR" -quiet >"$WORKDIR/warm.log" 2>&1 &
 TUNE_PID=$!
-
-for i in $(seq 1 100); do
-  curl -fs "http://$ADDR/healthz" >/dev/null 2>&1 && break
-  if ! kill -0 "$TUNE_PID" 2>/dev/null; then
-    echo "warm run died before the dashboard came up:" >&2
-    cat "$WORKDIR/warm.log" >&2
-    exit 1
-  fi
-  sleep 0.2
-done
+PIDS+=("$TUNE_PID")
+wait_healthz "$ADDR" 100 "$TUNE_PID" "$WORKDIR/warm.log"
 grep -q "warm start: donor" "$WORKDIR/warm.log" || {
   echo "re-tune over the archived evidence did not warm-start:" >&2
   cat "$WORKDIR/warm.log" >&2
@@ -99,7 +79,6 @@ echo "api/state warmStarted: ok"
 # an abandoned run), which is exactly what gc prunes.
 kill "$TUNE_PID" 2>/dev/null || true
 wait "$TUNE_PID" 2>/dev/null || true
-TUNE_PID=""
 
 "$WORKDIR/stormtune" archive list -archive "$ARCH" >"$WORKDIR/list2.log"
 SESSIONS=$(($(wc -l <"$WORKDIR/list2.log") - 1))

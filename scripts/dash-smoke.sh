@@ -6,23 +6,8 @@
 set -euo pipefail
 
 ADDR="${DASH_ADDR:-127.0.0.1:8090}"
-WORKDIR="$(mktemp -d)"
-TUNE_PID=""
-cleanup() {
-  # The trap owns cleanup so a failing assertion can never leak the
-  # background tuning process.
-  if [[ -n "$TUNE_PID" ]] && kill -0 "$TUNE_PID" 2>/dev/null; then
-    kill "$TUNE_PID" 2>/dev/null || true
-    wait "$TUNE_PID" 2>/dev/null || true
-  fi
-  rm -rf "$WORKDIR"
-}
-trap cleanup EXIT
-
-go build -o "$WORKDIR/stormtune" ./cmd/stormtune
-# The JSON assertions run through the probe helper (shared with
-# fleet-smoke.sh) so CI needs no runtime beyond the Go toolchain.
-go build -o "$WORKDIR/probe" ./scripts/probe
+source "$(dirname "$0")/lib.sh"
+build_binaries
 
 # 120 steps keeps the GP big enough that the run lasts long past the
 # probes below (~10s locally); the SSE replay cursor means a late
@@ -30,17 +15,8 @@ go build -o "$WORKDIR/probe" ./scripts/probe
 "$WORKDIR/stormtune" tune -topology small -steps 120 -dash "$ADDR" -quiet \
   >"$WORKDIR/tune.log" 2>&1 &
 TUNE_PID=$!
-
-for i in $(seq 1 100); do
-  curl -fs "http://$ADDR/healthz" >/dev/null 2>&1 && break
-  if ! kill -0 "$TUNE_PID" 2>/dev/null; then
-    echo "tune process died before the dashboard came up:" >&2
-    cat "$WORKDIR/tune.log" >&2
-    exit 1
-  fi
-  sleep 0.2
-done
-curl -fs "http://$ADDR/healthz" >/dev/null
+PIDS+=("$TUNE_PID")
+wait_healthz "$ADDR" 100 "$TUNE_PID" "$WORKDIR/tune.log"
 echo "healthz: ok"
 
 # The state snapshot is valid JSON with the expected fields.
@@ -63,7 +39,6 @@ grep -q '^event: done' "$WORKDIR/sse.log" || {
 echo "sse: ok ($(grep -c '^event: trial_completed' "$WORKDIR/sse.log") trial_completed events)"
 
 wait "$TUNE_PID"
-TUNE_PID=""
 grep -q "throughput:" "$WORKDIR/tune.log" || {
   echo "tune run did not report a result:" >&2
   cat "$WORKDIR/tune.log" >&2

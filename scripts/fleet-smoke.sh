@@ -10,24 +10,8 @@ set -euo pipefail
 DASH_ADDR="${FLEET_DASH_ADDR:-127.0.0.1:8091}"
 W1_ADDR="${FLEET_W1_ADDR:-127.0.0.1:8077}"
 W2_ADDR="${FLEET_W2_ADDR:-127.0.0.1:8078}"
-WORKDIR="$(mktemp -d)"
-PIDS=()
-cleanup() {
-  # The trap owns cleanup so a failing assertion can never leak the
-  # worker or fleet processes, and the step's verdict comes from the
-  # assertions, never from kill.
-  for pid in "${PIDS[@]:-}"; do
-    if [[ -n "$pid" ]] && kill -0 "$pid" 2>/dev/null; then
-      kill "$pid" 2>/dev/null || true
-      wait "$pid" 2>/dev/null || true
-    fi
-  done
-  rm -rf "$WORKDIR"
-}
-trap cleanup EXIT
-
-go build -o "$WORKDIR/stormtune" ./cmd/stormtune
-go build -o "$WORKDIR/probe" ./scripts/probe
+source "$(dirname "$0")/lib.sh"
+build_binaries
 
 # Two shared workers. One is flaky so the fleet's retry path sees real
 # lost measurements.
@@ -38,11 +22,7 @@ PIDS+=($!)
   >"$WORKDIR/w2.log" 2>&1 &
 PIDS+=($!)
 for addr in "$W1_ADDR" "$W2_ADDR"; do
-  for i in $(seq 1 50); do
-    curl -fs "http://$addr/healthz" >/dev/null 2>&1 && break
-    sleep 0.2
-  done
-  curl -fs "http://$addr/healthz" >/dev/null
+  wait_healthz "$addr" 50
 done
 echo "workers: up"
 
@@ -66,16 +46,7 @@ EOF
 FLEET_PID=$!
 PIDS+=("$FLEET_PID")
 
-for i in $(seq 1 100); do
-  curl -fs "http://$DASH_ADDR/healthz" >/dev/null 2>&1 && break
-  if ! kill -0 "$FLEET_PID" 2>/dev/null; then
-    echo "fleet process died before the dashboard came up:" >&2
-    cat "$WORKDIR/fleet.log" >&2
-    exit 1
-  fi
-  sleep 0.2
-done
-curl -fs "http://$DASH_ADDR/healthz" >/dev/null
+wait_healthz "$DASH_ADDR" 100 "$FLEET_PID" "$WORKDIR/fleet.log"
 echo "healthz: ok"
 
 # Mid-run: poll until every session has completed at least one trial

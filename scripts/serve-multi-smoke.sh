@@ -9,33 +9,14 @@ set -euo pipefail
 
 W_ADDR="${SERVE_MULTI_ADDR:-127.0.0.1:8079}"
 TOKEN="smoke-secret"
-WORKDIR="$(mktemp -d)"
-PIDS=()
-cleanup() {
-  # The trap owns cleanup so a failing assertion can never leak the
-  # worker or fleet processes, and the step's verdict comes from the
-  # assertions, never from kill.
-  for pid in "${PIDS[@]:-}"; do
-    if [[ -n "$pid" ]] && kill -0 "$pid" 2>/dev/null; then
-      kill "$pid" 2>/dev/null || true
-      wait "$pid" 2>/dev/null || true
-    fi
-  done
-  rm -rf "$WORKDIR"
-}
-trap cleanup EXIT
-
-go build -o "$WORKDIR/stormtune" ./cmd/stormtune
+source "$(dirname "$0")/lib.sh"
+build_binaries
 
 # One worker, two registered topologies, bearer auth, bounded admission.
 "$WORKDIR/stormtune" serve -addr "$W_ADDR" -topology small,medium -seed 1 \
   -token "$TOKEN" -capacity 2 -quiet >"$WORKDIR/worker.log" 2>&1 &
 PIDS+=($!)
-for i in $(seq 1 50); do
-  curl -fs "http://$W_ADDR/healthz" >/dev/null 2>&1 && break
-  sleep 0.2
-done
-curl -fs "http://$W_ADDR/healthz" >/dev/null
+wait_healthz "$W_ADDR" 50
 echo "worker: up"
 
 # Auth is enforced: no token and a wrong token are 401, the right one

@@ -9,24 +9,8 @@
 set -euo pipefail
 
 DASH_ADDR="${WATCH_DASH_ADDR:-127.0.0.1:8092}"
-WORKDIR="$(mktemp -d)"
-PIDS=()
-cleanup() {
-  # The trap owns cleanup so a failing assertion can never leak the
-  # watch process or the SSE tail, and the step's verdict comes from
-  # the assertions, never from kill.
-  for pid in "${PIDS[@]:-}"; do
-    if [[ -n "$pid" ]] && kill -0 "$pid" 2>/dev/null; then
-      kill "$pid" 2>/dev/null || true
-      wait "$pid" 2>/dev/null || true
-    fi
-  done
-  rm -rf "$WORKDIR"
-}
-trap cleanup EXIT
-
-go build -o "$WORKDIR/stormtune" ./cmd/stormtune
-go build -o "$WORKDIR/probe" ./scripts/probe
+source "$(dirname "$0")/lib.sh"
+build_binaries
 
 # A 3x flash over an offered load near the tuned capacity guarantees
 # sustained backpressure, so the monitor must trigger. The horizon is
@@ -40,16 +24,7 @@ go build -o "$WORKDIR/probe" ./scripts/probe
 WATCH_PID=$!
 PIDS+=("$WATCH_PID")
 
-for i in $(seq 1 100); do
-  curl -fs "http://$DASH_ADDR/healthz" >/dev/null 2>&1 && break
-  if ! kill -0 "$WATCH_PID" 2>/dev/null; then
-    echo "watch process died before the dashboard came up:" >&2
-    cat "$WORKDIR/watch.log" >&2
-    exit 1
-  fi
-  sleep 0.2
-done
-curl -fs "http://$DASH_ADDR/healthz" >/dev/null
+wait_healthz "$DASH_ADDR" 100 "$WATCH_PID" "$WORKDIR/watch.log"
 echo "healthz: ok"
 
 # Follow the SSE stream from the beginning so the retune event cannot

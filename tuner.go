@@ -3,9 +3,11 @@ package stormtune
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
+	"reflect"
 	"time"
 
 	"stormtune/internal/bo"
@@ -99,85 +101,151 @@ func NewBackendPoolWith(opts BackendPoolOptions, members ...Backend) (*BackendPo
 	return core.NewPoolBackendWith(opts, members...)
 }
 
-// TunerOptions configure a tuning session.
+// TunerOptions configure a tuning session. They are also what a
+// snapshot persists: TunerState embeds them, so each field's json tag
+// is its snapshot key, and `json:"-"` marks the runtime-only pieces a
+// caller passes again on resume. Persisting a new setting takes one
+// tagged field here; Snapshot and ResumeTuner need no edit.
 type TunerOptions struct {
 	// Steps is the evaluation budget — the total number of trials the
 	// session will propose (default 60, as in the paper).
-	Steps int
+	Steps int `json:"steps"`
 	// Set selects the searched parameters (default Hints).
-	Set ParamSet
+	Set ParamSet `json:"set"`
 	// Template supplies the non-searched parameters; zero value uses the
 	// paper's §V-D deployment defaults with hint 1.
-	Template *Config
+	Template *Config `json:"template"`
 	// Cluster defaults to the paper's 80-machine cluster. It bounds the
 	// max-tasks search dimension and the concurrent-trial capacity
 	// RunAsync clamps its parallelism to.
-	Cluster *ClusterSpec
+	Cluster *ClusterSpec `json:"cluster"`
 	// Seed drives the optimizer (default 1).
-	Seed int64
+	Seed int64 `json:"seed"`
 	// StopAfterZeros stops the session after this many consecutive
 	// zero-performance trials; 0 disables (the paper uses 3 for the
 	// linear strategies, 0 for BO).
-	StopAfterZeros int
+	StopAfterZeros int `json:"stopAfterZeros,omitempty"`
 	// Parallel is the number of in-flight trials Propose keeps topped up
 	// (default 1 — the paper's sequential procedure). The Run* drivers
 	// take their own q and ignore it.
-	Parallel int
+	Parallel int `json:"parallel,omitempty"`
 	// Retry governs trials whose evaluation errors (Backend.Run
 	// returning a non-nil error): how many attempts each trial gets and
 	// with what backoff before the session records a pessimistic failed
-	// observation. The zero value never retries.
-	Retry RetryPolicy
+	// observation. The zero value never retries. The session snapshot
+	// carries the policy in effect; a non-zero Retry passed to
+	// ResumeTuner overrides it.
+	Retry RetryPolicy `json:"-"`
 	// TrialTimeout bounds each evaluation attempt's wall-clock; trials
 	// carry it as their deadline and backends receive it via ctx. Zero
-	// means unbounded.
-	TrialTimeout time.Duration
+	// means unbounded. Persisted and overridden like Retry.
+	TrialTimeout time.Duration `json:"-"`
 	// Observer receives the session's typed events; nil disables.
-	Observer Observer
+	Observer Observer `json:"-"`
 	// Recorder, when set, also receives every event (composed with
 	// Observer via MultiObserver) and accumulates the live state the
 	// dashboard serves. ResumeTuner primes it from the snapshot first,
 	// so a resumed run's dashboard shows the whole incumbent trace.
-	Recorder *Recorder
+	Recorder *Recorder `json:"-"`
 	// Strategy overrides the built-in Bayesian optimizer with a custom
 	// strategy (e.g. NewPLA). Snapshots of such a session can only be
 	// resumed by supplying an equally fresh Strategy to ResumeTuner.
-	Strategy Strategy
+	Strategy Strategy `json:"-"`
 
 	// Archive, when set, records this session into a persistent store
 	// of tuning evidence: trials append as they complete (off the
 	// propose/report hot path) and the record seals with the final
 	// session state when a driver finishes. Ask/tell callers seal
 	// explicitly via Tuner.SealArchive.
-	Archive Archive
+	Archive Archive `json:"-"`
 	// ArchiveKey pins the archive record key; empty derives a
 	// deterministic key from topology fingerprint, strategy and seed
-	// plus a run counter. Resume reuses the snapshotted key.
-	ArchiveKey string
+	// plus a run counter. Resume reuses the snapshotted key. Without an
+	// Archive the session records nothing and the key stays empty.
+	ArchiveKey string `json:"archiveKey,omitempty"`
 	// WarmStart enables transfer learning from Archive: prior
 	// incumbents and top configurations of sufficiently similar
 	// archived runs replace part of the initial design, optionally
 	// with an archived-runs prior on the GP mean. Requires Archive and
-	// the built-in Bayesian strategy; off by default.
-	WarmStart WarmStartOptions
+	// the built-in Bayesian strategy; off by default. The applied warm
+	// start itself is snapshotted (TunerState.Transfer).
+	WarmStart WarmStartOptions `json:"-"`
 
 	// Optimizer knobs, forwarded to the Bayesian strategy (zero values
 	// select the Spearmint-like defaults). They are recorded in
 	// snapshots so a resumed run rebuilds the exact same optimizer.
-	Candidates       int
-	HyperSamples     int
-	LocalSearchIters int
-	MaxGPPoints      int
+	Candidates       int `json:"candidates,omitempty"`
+	HyperSamples     int `json:"hyperSamples,omitempty"`
+	LocalSearchIters int `json:"localSearchIters,omitempty"`
+	MaxGPPoints      int `json:"maxGPPoints,omitempty"`
 }
 
-// composedObserver wires the Recorder in next to the Observer. The
+// resolve fills the option defaults shared by NewTuner and
+// ResumeTuner. Template and Cluster are copied, so the session never
+// aliases the caller's values.
+func (o TunerOptions) resolve(t *Topology) TunerOptions {
+	if o.Steps <= 0 {
+		o.Steps = 60
+	}
+	if o.Seed == 0 {
+		o.Seed = 1
+	}
+	if o.Parallel < 1 {
+		o.Parallel = 1
+	}
+	if o.Archive == nil {
+		o.ArchiveKey = ""
+	}
+	o.Template, o.Cluster = resolveEnv(t, o.Template, o.Cluster)
+	return o
+}
+
+// persisted is the copy of the options a snapshot stores: runtime-only
+// fields zeroed, Template and Cluster copied.
+func (o TunerOptions) persisted() TunerOptions {
+	o = zeroRuntime(o)
+	template, spec := o.Template.Clone(), *o.Cluster
+	o.Template, o.Cluster = &template, &spec
+	return o
+}
+
+// resolveEnv returns fresh copies of a session's template and cluster,
+// defaulting nil ones to the paper's deployment (hint 1) and
+// 80-machine cluster.
+func resolveEnv(t *Topology, template *Config, spec *ClusterSpec) (*Config, *ClusterSpec) {
+	c := cluster.Paper()
+	if spec != nil {
+		c = *spec
+	}
+	var cfg Config
+	if template != nil {
+		cfg = template.Clone()
+	} else {
+		cfg = storm.DefaultConfig(t, 1)
+	}
+	return &cfg, &c
+}
+
+// zeroRuntime returns opts with every field tagged `json:"-"` zeroed:
+// exactly what a snapshot's JSON round trip drops.
+func zeroRuntime[T any](opts T) T {
+	v := reflect.ValueOf(&opts).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if v.Type().Field(i).Tag.Get("json") == "-" {
+			v.Field(i).SetZero()
+		}
+	}
+	return opts
+}
+
+// withRecorder wires a session's Recorder in next to its Observer. The
 // typed-nil check matters: a nil *Recorder must not reach MultiObserver
 // as a non-nil Observer interface.
-func (o TunerOptions) composedObserver() Observer {
-	if o.Recorder == nil {
-		return o.Observer
+func withRecorder(obs Observer, rec *Recorder) Observer {
+	if rec == nil {
+		return obs
 	}
-	return core.MultiObserver(o.Recorder, o.Observer)
+	return core.MultiObserver(rec, obs)
 }
 
 func (o TunerOptions) boOptions() BOOptions {
@@ -214,12 +282,11 @@ type Tuner struct {
 	// bound is the cluster's concurrent-trial capacity for the template
 	// configuration; RunAsync clamps its q to it.
 	bound int
-	// arec archives completed trials when TunerOptions.Archive is set;
-	// archiveKey is its record key and transfer the applied warm start
-	// (nil for cold runs).
-	arec       *core.ArchiveRecorder
-	archiveKey string
-	transfer   *TransferSeed
+	// arec archives completed trials when TunerOptions.Archive is set
+	// (under opts.ArchiveKey); transfer is the applied warm start (nil
+	// for cold runs).
+	arec     *core.ArchiveRecorder
+	transfer *TransferSeed
 }
 
 // NewTuner starts a tuning session for a topology against a backend —
@@ -232,30 +299,11 @@ func NewTuner(t *Topology, b Backend, opts TunerOptions) (*Tuner, error) {
 	if t == nil {
 		return nil, fmt.Errorf("stormtune: nil topology")
 	}
-	if opts.Steps <= 0 {
-		opts.Steps = 60
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
-	if opts.Parallel < 1 {
-		opts.Parallel = 1
-	}
-	spec := cluster.Paper()
-	if opts.Cluster != nil {
-		spec = *opts.Cluster
-	}
-	template := storm.DefaultConfig(t, 1)
-	if opts.Template != nil {
-		template = opts.Template.Clone()
-	}
-	opts.Cluster = &spec
-	opts.Template = &template
-
+	opts = opts.resolve(t)
 	strat := opts.Strategy
 	custom := strat != nil
 	if strat == nil {
-		strat = core.NewBO(t, spec, template, opts.boOptions())
+		strat = core.NewBO(t, *opts.Cluster, *opts.Template, opts.boOptions())
 	}
 
 	// Archive + transfer wiring. The warm start must attach before the
@@ -264,13 +312,8 @@ func NewTuner(t *Topology, b Backend, opts TunerOptions) (*Tuner, error) {
 	// computed, and only then the record begun.
 	var arec *core.ArchiveRecorder
 	var transfer *TransferSeed
-	archiveKey := ""
 	if opts.Archive != nil {
-		archiveKey = opts.ArchiveKey
-		if archiveKey == "" {
-			archiveKey = deriveArchiveKey(opts.Archive, t.Name, t.Fingerprint(), strat.Name(), opts.Seed)
-		}
-		meta := core.SessionMetaFor(archiveKey, t, spec, strat.Name(), opts.Set, opts.Seed)
+		meta := opts.archiveMeta(t, strat.Name())
 		if bs, ok := strat.(*core.BOStrategy); ok && opts.WarmStart.Enabled {
 			transfer = core.ComputeTransfer(bs, opts.Archive, meta, opts.WarmStart)
 			bs.ApplyTransfer(transfer)
@@ -283,31 +326,43 @@ func NewTuner(t *Topology, b Backend, opts TunerOptions) (*Tuner, error) {
 	if opts.Recorder != nil && transfer != nil {
 		opts.Recorder.SetTransfer(transfer)
 	}
-	observer := opts.composedObserver()
+	return &Tuner{
+		sess:     core.NewSession(strat, b, opts.sessionOptions(t, arec)),
+		opts:     opts,
+		topoName: t.Name,
+		topoN:    t.N(),
+		fp:       TopologyFingerprint(t),
+		custom:   custom,
+		bound:    opts.Cluster.MaxConcurrentTrials(opts.Template.TotalTasks()),
+		arec:     arec,
+		transfer: transfer,
+	}, nil
+}
+
+// archiveMeta settles the record key — pinned or snapshotted, else
+// derived — into o.ArchiveKey and returns the record's metadata.
+func (o *TunerOptions) archiveMeta(t *Topology, strategy string) ArchiveMeta {
+	if o.ArchiveKey == "" {
+		o.ArchiveKey = deriveArchiveKey(o.Archive, t.Name, t.Fingerprint(), strategy, o.Seed)
+	}
+	return core.SessionMetaFor(o.ArchiveKey, t, *o.Cluster, strategy, o.Set, o.Seed)
+}
+
+// sessionOptions are the core session options o resolves to, with the
+// archive recorder (when recording) on the observer chain.
+func (o TunerOptions) sessionOptions(t *Topology, arec *core.ArchiveRecorder) core.SessionOptions {
+	observer := withRecorder(o.Observer, o.Recorder)
 	if arec != nil {
 		observer = core.MultiObserver(observer, arec)
 	}
-
-	sess := core.NewSession(strat, b, core.SessionOptions{
-		MaxSteps:       opts.Steps,
-		StopAfterZeros: opts.StopAfterZeros,
-		Retry:          opts.Retry,
-		TrialTimeout:   opts.TrialTimeout,
+	return core.SessionOptions{
+		MaxSteps:       o.Steps,
+		StopAfterZeros: o.StopAfterZeros,
+		Retry:          o.Retry,
+		TrialTimeout:   o.TrialTimeout,
 		Observer:       observer,
 		Fingerprint:    TopologyFingerprint(t),
-	})
-	return &Tuner{
-		sess:       sess,
-		opts:       opts,
-		topoName:   t.Name,
-		topoN:      t.N(),
-		fp:         TopologyFingerprint(t),
-		custom:     custom,
-		bound:      spec.MaxConcurrentTrials(template.TotalTasks()),
-		arec:       arec,
-		archiveKey: archiveKey,
-		transfer:   transfer,
-	}, nil
+	}
 }
 
 // Propose asks for the next trials to evaluate, topping the in-flight
@@ -360,7 +415,7 @@ func (tn *Tuner) Fingerprint() string { return tn.fp }
 
 // ArchiveKey returns the key this session records under, empty when
 // TunerOptions.Archive was not set.
-func (tn *Tuner) ArchiveKey() string { return tn.archiveKey }
+func (tn *Tuner) ArchiveKey() string { return tn.opts.ArchiveKey }
 
 // Transfer returns the warm start this session applied, nil for cold
 // runs (transfer disabled, no archive, or no donor cleared the
@@ -422,66 +477,59 @@ func (tn *Tuner) RunAsync(ctx context.Context, q int) (TuneResult, error) {
 	return res, tn.sealAfterRun(err)
 }
 
-// TunerState is the serializable snapshot of a Tuner: everything needed
-// to rebuild the optimizer (parameter set, seed, optimizer knobs,
-// template, cluster) plus the session's records, pending trials and
-// ask/tell log. Resuming replays that log against a freshly built
-// strategy, so the resumed session continues bit-identically to an
-// uninterrupted run — the Spearmint pause/resume workflow (§III-C),
-// now at the public API level.
+// TunerState is the serializable snapshot of a Tuner: the session's
+// resolved options (parameter set, seed, optimizer knobs, template,
+// cluster, archive key — the tagged fields of TunerOptions) plus its
+// records, pending trials and ask/tell log. Resuming replays that log
+// against a freshly built strategy, so the resumed session continues
+// bit-identically to an uninterrupted run — the Spearmint
+// pause/resume workflow (§III-C), now at the public API level.
 type TunerState struct {
-	Version          int                `json:"version"`
-	Topology         string             `json:"topology"`
-	Nodes            int                `json:"nodes"`
-	Steps            int                `json:"steps"`
-	Set              ParamSet           `json:"set"`
-	Seed             int64              `json:"seed"`
-	StopAfterZeros   int                `json:"stopAfterZeros,omitempty"`
-	Parallel         int                `json:"parallel,omitempty"`
-	Candidates       int                `json:"candidates,omitempty"`
-	HyperSamples     int                `json:"hyperSamples,omitempty"`
-	LocalSearchIters int                `json:"localSearchIters,omitempty"`
-	MaxGPPoints      int                `json:"maxGPPoints,omitempty"`
-	Template         Config             `json:"template"`
-	Cluster          ClusterSpec        `json:"cluster"`
-	Custom           bool               `json:"custom,omitempty"`
-	Session          *core.SessionState `json:"session"`
-	// ArchiveKey and Transfer carry the archive identity and the
-	// applied warm start: resume re-attaches the same record (no
-	// double-appends) and reapplies the identical transfer so replay
-	// stays bit-exact. The archive itself is not serialized — pass it
-	// again via opts.Archive.
-	ArchiveKey string        `json:"archiveKey,omitempty"`
-	Transfer   *TransferSeed `json:"transfer,omitempty"`
+	Version  int    `json:"version"`
+	Topology string `json:"topology"`
+	Nodes    int    `json:"nodes"`
+	TunerOptions
+	Custom  bool               `json:"custom,omitempty"`
+	Session *core.SessionState `json:"session"`
+	// Transfer is the applied warm start: resume reapplies the
+	// identical transfer so replay stays bit-exact, and re-attaches the
+	// archive record under ArchiveKey (no double-appends). The archive
+	// itself is not serialized — pass it again via opts.Archive.
+	Transfer *TransferSeed `json:"transfer,omitempty"`
 }
 
 const tunerStateVersion = 1
+
+// validate rejects a snapshot no session can resume from.
+func (s *TunerState) validate() error {
+	switch {
+	case s == nil:
+		return errors.New("nil tuner state")
+	case s.Version != tunerStateVersion:
+		return fmt.Errorf("unsupported tuner state version %d", s.Version)
+	case s.Session == nil:
+		return errors.New("tuner state has no session")
+	case s.Template == nil:
+		return errors.New("tuner state has no template")
+	case s.Cluster == nil:
+		return errors.New("tuner state has no cluster")
+	}
+	return nil
+}
 
 // Snapshot captures the session. It is safe to call at any time — from
 // an Observer callback, between ask/tell rounds, or while a driver is
 // mid-run; in-flight trials are carried as pending and re-dispatched on
 // resume with their original run indices.
 func (tn *Tuner) Snapshot() *TunerState {
-	o := tn.opts
 	return &TunerState{
-		Version:          tunerStateVersion,
-		Topology:         tn.topoName,
-		Nodes:            tn.topoN,
-		Steps:            o.Steps,
-		Set:              o.Set,
-		Seed:             o.Seed,
-		StopAfterZeros:   o.StopAfterZeros,
-		Parallel:         o.Parallel,
-		Candidates:       o.Candidates,
-		HyperSamples:     o.HyperSamples,
-		LocalSearchIters: o.LocalSearchIters,
-		MaxGPPoints:      o.MaxGPPoints,
-		Template:         *o.Template,
-		Cluster:          *o.Cluster,
-		Custom:           tn.custom,
-		Session:          tn.sess.Snapshot(),
-		ArchiveKey:       tn.archiveKey,
-		Transfer:         tn.transfer,
+		Version:      tunerStateVersion,
+		Topology:     tn.topoName,
+		Nodes:        tn.topoN,
+		TunerOptions: tn.opts.persisted(),
+		Custom:       tn.custom,
+		Session:      tn.sess.Snapshot(),
+		Transfer:     tn.transfer,
 	}
 }
 
@@ -511,11 +559,8 @@ func LoadTunerState(r io.Reader) (*TunerState, error) {
 	if err := json.NewDecoder(r).Decode(&s); err != nil {
 		return nil, fmt.Errorf("stormtune: decoding tuner state: %w", err)
 	}
-	if s.Version != tunerStateVersion {
-		return nil, fmt.Errorf("stormtune: unsupported tuner state version %d", s.Version)
-	}
-	if s.Session == nil {
-		return nil, fmt.Errorf("stormtune: tuner state has no session")
+	if err := s.validate(); err != nil {
+		return nil, fmt.Errorf("stormtune: %w", err)
 	}
 	return &s, nil
 }
@@ -538,19 +583,17 @@ func LoadTunerStateFile(path string) (*TunerState, error) {
 // replay cross-checks every regenerated configuration and fails if the
 // topology or options diverge from the snapshotted run.
 //
-// opts carries the non-serializable and extendable pieces: Observer, a
-// Recorder (primed from the snapshot so its dashboard shows the whole
-// run), a raised Steps budget, a Retry policy and TrialTimeout fitting the
-// new backend's failure profile (zero values keep the snapshot's), and
-// — for snapshots of sessions that injected a custom Strategy — an
-// equally fresh Strategy instance. All other fields are taken from the
-// snapshot.
+// The session resumes with the snapshot's options. From opts it takes
+// the runtime-only pieces — Observer, a Recorder (primed from the
+// snapshot so its dashboard shows the whole run), Archive, and for
+// snapshots of sessions that injected a custom Strategy an equally
+// fresh Strategy instance — plus three overrides: a raised Steps
+// budget or a new Parallel when positive, and a Retry policy and
+// TrialTimeout fitting the new backend's failure profile (zero values
+// keep the snapshot's).
 func ResumeTuner(st *TunerState, t *Topology, b Backend, opts TunerOptions) (*Tuner, error) {
-	if st == nil || st.Session == nil {
-		return nil, fmt.Errorf("stormtune: nil tuner state")
-	}
-	if st.Version != tunerStateVersion {
-		return nil, fmt.Errorf("stormtune: unsupported tuner state version %d", st.Version)
+	if err := st.validate(); err != nil {
+		return nil, fmt.Errorf("stormtune: %w", err)
 	}
 	if t == nil {
 		return nil, fmt.Errorf("stormtune: nil topology")
@@ -559,50 +602,32 @@ func ResumeTuner(st *TunerState, t *Topology, b Backend, opts TunerOptions) (*Tu
 		return nil, fmt.Errorf("stormtune: topology has %d nodes, snapshot was taken over %d (%s)",
 			t.N(), st.Nodes, st.Topology)
 	}
-	resolved := TunerOptions{
-		Steps:            st.Steps,
-		Set:              st.Set,
-		Seed:             st.Seed,
-		StopAfterZeros:   st.StopAfterZeros,
-		Parallel:         st.Parallel,
-		Candidates:       st.Candidates,
-		HyperSamples:     st.HyperSamples,
-		LocalSearchIters: st.LocalSearchIters,
-		MaxGPPoints:      st.MaxGPPoints,
-		Template:         &st.Template,
-		Cluster:          &st.Cluster,
-		Observer:         opts.Observer,
-		Recorder:         opts.Recorder,
+	if st.Custom && opts.Strategy == nil {
+		return nil, fmt.Errorf("stormtune: snapshot used a custom strategy; pass a fresh one in opts.Strategy")
 	}
+	if !st.Custom && opts.Strategy != nil {
+		return nil, fmt.Errorf("stormtune: snapshot used the built-in optimizer; opts.Strategy must be nil")
+	}
+	resolved := st.TunerOptions
 	if opts.Steps > 0 {
 		resolved.Steps = opts.Steps
 	}
 	if opts.Parallel > 0 {
 		resolved.Parallel = opts.Parallel
 	}
-	if resolved.Parallel < 1 {
-		resolved.Parallel = 1
-	}
 	// A resumed session may face a different failure profile than the
 	// snapshotted one — e.g. resuming a local-simulator run against a
 	// RemoteBackend — so a non-zero Retry/TrialTimeout overrides the
 	// snapshot's (stored once, in st.Session; core.ResumeSession falls
 	// back to it when these are zero).
-	resolved.Retry = opts.Retry
-	resolved.TrialTimeout = opts.TrialTimeout
+	resolved.Retry, resolved.TrialTimeout = opts.Retry, opts.TrialTimeout
+	resolved.Observer, resolved.Recorder = opts.Observer, opts.Recorder
+	resolved.Strategy, resolved.Archive = opts.Strategy, opts.Archive
+	resolved = resolved.resolve(t)
 
-	var strat Strategy
-	if st.Custom {
-		if opts.Strategy == nil {
-			return nil, fmt.Errorf("stormtune: snapshot used a custom strategy; pass a fresh one in opts.Strategy")
-		}
-		strat = opts.Strategy
-		resolved.Strategy = opts.Strategy
-	} else {
-		if opts.Strategy != nil {
-			return nil, fmt.Errorf("stormtune: snapshot used the built-in optimizer; opts.Strategy must be nil")
-		}
-		bs := core.NewBO(t, st.Cluster, st.Template, resolved.boOptions())
+	strat := resolved.Strategy
+	if strat == nil {
+		bs := core.NewBO(t, *resolved.Cluster, *resolved.Template, resolved.boOptions())
 		// Reapply the snapshotted warm start before replay: the op-log
 		// cross-checks every regenerated proposal, so the resumed
 		// optimizer must start from the identical warm design.
@@ -614,32 +639,14 @@ func ResumeTuner(st *TunerState, t *Topology, b Backend, opts TunerOptions) (*Tu
 	// again). Begun before the replay so its resume cursor reflects
 	// what the archive already holds.
 	var arec *core.ArchiveRecorder
-	archiveKey := ""
-	if opts.Archive != nil {
-		resolved.Archive = opts.Archive
-		archiveKey = st.ArchiveKey
-		if archiveKey == "" {
-			archiveKey = deriveArchiveKey(opts.Archive, t.Name, t.Fingerprint(), strat.Name(), st.Seed)
+	if resolved.Archive != nil {
+		var err error
+		if arec, err = core.NewArchiveRecorder(resolved.Archive, resolved.archiveMeta(t, strat.Name())); err != nil {
+			return nil, fmt.Errorf("stormtune: archive: %w", err)
 		}
-		meta := core.SessionMetaFor(archiveKey, t, st.Cluster, strat.Name(), st.Set, st.Seed)
-		var aerr error
-		if arec, aerr = core.NewArchiveRecorder(opts.Archive, meta); aerr != nil {
-			return nil, fmt.Errorf("stormtune: archive: %w", aerr)
-		}
-	}
-	observer := resolved.composedObserver()
-	if arec != nil {
-		observer = core.MultiObserver(observer, arec)
 	}
 
-	sess, err := core.ResumeSession(st.Session, strat, b, core.SessionOptions{
-		MaxSteps:       resolved.Steps,
-		StopAfterZeros: resolved.StopAfterZeros,
-		Retry:          resolved.Retry,
-		TrialTimeout:   resolved.TrialTimeout,
-		Observer:       observer,
-		Fingerprint:    TopologyFingerprint(t),
-	})
+	sess, err := core.ResumeSession(st.Session, strat, b, resolved.sessionOptions(t, arec))
 	if err != nil {
 		return nil, err
 	}
@@ -666,15 +673,14 @@ func ResumeTuner(st *TunerState, t *Topology, b Backend, opts TunerOptions) (*Tu
 		}
 	}
 	return &Tuner{
-		sess:       sess,
-		opts:       resolved,
-		topoName:   st.Topology,
-		topoN:      st.Nodes,
-		fp:         TopologyFingerprint(t),
-		custom:     st.Custom,
-		bound:      st.Cluster.MaxConcurrentTrials(st.Template.TotalTasks()),
-		arec:       arec,
-		archiveKey: archiveKey,
-		transfer:   st.Transfer,
+		sess:     sess,
+		opts:     resolved,
+		topoName: st.Topology,
+		topoN:    st.Nodes,
+		fp:       TopologyFingerprint(t),
+		custom:   st.Custom,
+		bound:    resolved.Cluster.MaxConcurrentTrials(resolved.Template.TotalTasks()),
+		arec:     arec,
+		transfer: st.Transfer,
 	}, nil
 }

@@ -3,6 +3,7 @@ package stormtune
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -11,7 +12,6 @@ import (
 
 	"stormtune/internal/archive"
 	"stormtune/internal/bo"
-	"stormtune/internal/cluster"
 	"stormtune/internal/core"
 	"stormtune/internal/storm"
 	"stormtune/internal/watch"
@@ -84,53 +84,57 @@ type (
 	RetuneCompleted = core.RetuneCompleted
 )
 
-// WatchOptions configure a continuous-tuning session.
+// WatchOptions configure a continuous-tuning session. WatchState
+// embeds them, so each field's json tag is its snapshot key and
+// `json:"-"` marks the runtime-only pieces a caller passes again on
+// resume — as with TunerOptions, persisting a new setting takes one
+// tagged field.
 type WatchOptions struct {
 	// Steps is the initial tuning session's budget (default 40);
 	// RetuneSteps each retune episode's (default max(8, Steps/4)).
-	Steps       int
-	RetuneSteps int
+	Steps       int `json:"steps"`
+	RetuneSteps int `json:"retuneSteps,omitempty"`
 	// Set selects the searched parameters (default Hints).
-	Set ParamSet
+	Set ParamSet `json:"set"`
 	// Template supplies the non-searched parameters; zero value uses
 	// the paper's deployment defaults with hint 1.
-	Template *Config
+	Template *Config `json:"template"`
 	// Cluster defaults to the paper's 80-machine cluster.
-	Cluster *ClusterSpec
+	Cluster *ClusterSpec `json:"cluster"`
 	// Seed drives the optimizers: the initial tune uses it directly,
 	// retune episode e uses Seed+e (default 1).
-	Seed int64
+	Seed int64 `json:"seed"`
 	// TrialCost is the simulated seconds one trial evaluation costs
 	// (default 60); HoldInterval the simulated seconds between
 	// monitoring samples (default 60).
-	TrialCost    float64
-	HoldInterval float64
+	TrialCost    float64 `json:"trialCost,omitempty"`
+	HoldInterval float64 `json:"holdInterval,omitempty"`
 	// Horizon stops the watch when the simulated clock reaches it
 	// (0 = run until ctx cancel or MaxEpisodes); MaxEpisodes stops it
 	// after that many retune episodes (0 = unlimited).
-	Horizon     float64
-	MaxEpisodes int
+	Horizon     float64 `json:"horizon,omitempty"`
+	MaxEpisodes int     `json:"maxEpisodes,omitempty"`
 	// Monitor tunes the degradation monitor; Retune bounds the
 	// conservative search.
-	Monitor MonitorOptions
-	Retune  RetuneOptions
+	Monitor MonitorOptions `json:"monitor"`
+	Retune  RetuneOptions  `json:"retune"`
 	// Retry governs lost evaluations, exactly as in TunerOptions.
-	Retry RetryPolicy
+	Retry RetryPolicy `json:"-"`
 	// Observer receives the full event stream: session events plus
 	// HoldSampled, RetuneTriggered and RetuneCompleted.
-	Observer Observer
+	Observer Observer `json:"-"`
 	// Recorder, when set, also receives every event and accumulates
 	// the dashboard state — retune episodes appear in its snapshot's
 	// Retunes list and as SSE markers.
-	Recorder *Recorder
+	Recorder *Recorder `json:"-"`
 	// Snapshot, with SnapshotEvery > 0, receives a periodic WatchState
 	// every SnapshotEvery completed trials or monitoring samples.
-	Snapshot      func(*WatchState)
-	SnapshotEvery int
+	Snapshot      func(*WatchState) `json:"-"`
+	SnapshotEvery int               `json:"-"`
 	// Throttle paces monitoring samples in wall-clock time so a live
 	// dashboard is watchable; zero runs the simulated timeline flat
 	// out. Pacing only — no tuning decision reads the wall clock.
-	Throttle time.Duration
+	Throttle time.Duration `json:"-"`
 
 	// Archive, when set, records every completed trial — initial tune
 	// and retune episodes alike — into the store as evidence for
@@ -138,16 +142,16 @@ type WatchOptions struct {
 	// itself (its retunes already seed from the running incumbent).
 	// The record seals when Run finishes cleanly (horizon or episode
 	// budget reached); a cancelled watch stays unsealed for re-attach.
-	Archive Archive
+	Archive Archive `json:"-"`
 	// ArchiveKey pins the archive record key; empty derives one from
 	// the topology fingerprint and seed. Resume reuses the snapshot's.
-	ArchiveKey string
+	ArchiveKey string `json:"archiveKey,omitempty"`
 
 	// Optimizer knobs, as in TunerOptions.
-	Candidates       int
-	HyperSamples     int
-	LocalSearchIters int
-	MaxGPPoints      int
+	Candidates       int `json:"candidates,omitempty"`
+	HyperSamples     int `json:"hyperSamples,omitempty"`
+	LocalSearchIters int `json:"localSearchIters,omitempty"`
+	MaxGPPoints      int `json:"maxGPPoints,omitempty"`
 }
 
 func (o WatchOptions) boOptions() BOOptions {
@@ -161,13 +165,6 @@ func (o WatchOptions) boOptions() BOOptions {
 			MaxGPPoints:      o.MaxGPPoints,
 		},
 	}
-}
-
-func (o WatchOptions) composedObserver() Observer {
-	if o.Recorder == nil {
-		return o.Observer
-	}
-	return core.MultiObserver(o.Recorder, o.Observer)
 }
 
 // Watcher is a tuning session that never ends: tune, hold while a
@@ -241,16 +238,16 @@ func (o WatchOptions) resolve(t *Topology) WatchOptions {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	spec := cluster.Paper()
-	if o.Cluster != nil {
-		spec = *o.Cluster
-	}
-	template := storm.DefaultConfig(t, 1)
-	if o.Template != nil {
-		template = o.Template.Clone()
-	}
-	o.Cluster = &spec
-	o.Template = &template
+	o.Template, o.Cluster = resolveEnv(t, o.Template, o.Cluster)
+	return o
+}
+
+// persisted is the copy of the options a snapshot stores: runtime-only
+// fields zeroed, Template and Cluster copied.
+func (o WatchOptions) persisted() WatchOptions {
+	o = zeroRuntime(o)
+	template, spec := o.Template.Clone(), *o.Cluster
+	o.Template, o.Cluster = &template, &spec
 	return o
 }
 
@@ -266,7 +263,7 @@ func (w *Watcher) watchOptions(o WatchOptions) watch.Options {
 		Monitor:       o.Monitor,
 		Retune:        o.Retune,
 		Retry:         o.Retry,
-		Observer:      o.composedObserver(),
+		Observer:      withRecorder(o.Observer, o.Recorder),
 		SnapshotEvery: o.SnapshotEvery,
 		Throttle:      o.Throttle,
 	}
@@ -288,11 +285,24 @@ func NewWatcher(t *Topology, b Backend, opts WatchOptions) (*Watcher, error) {
 	if t == nil {
 		return nil, fmt.Errorf("stormtune: nil topology")
 	}
+	w, err := newWatcher(t, t.Name, b, opts)
+	if err != nil {
+		return nil, err
+	}
+	o := w.opts
+	w.c = watch.New(t, *o.Cluster, *o.Template, b, o.boOptions(), w.watchOptions(o))
+	return w, nil
+}
+
+// newWatcher resolves the options and (re-)attaches the archive
+// record — everything NewWatcher and ResumeWatcher share but the
+// controller.
+func newWatcher(t *Topology, topoName string, b Backend, opts WatchOptions) (*Watcher, error) {
 	if b == nil {
 		return nil, fmt.Errorf("stormtune: watch needs a backend")
 	}
 	opts = opts.resolve(t)
-	w := &Watcher{opts: opts, topoName: t.Name, topoN: t.N()}
+	w := &Watcher{opts: opts, topoName: topoName, topoN: t.N()}
 	if opts.Archive != nil {
 		key := opts.ArchiveKey
 		if key == "" {
@@ -305,7 +315,6 @@ func NewWatcher(t *Topology, b Backend, opts WatchOptions) (*Watcher, error) {
 		w.arch = arch
 		w.opts.ArchiveKey = key
 	}
-	w.c = watch.New(t, *opts.Cluster, *opts.Template, b, opts.boOptions(), w.watchOptions(opts))
 	return w, nil
 }
 
@@ -343,62 +352,45 @@ func (w *Watcher) Episodes() int { return w.c.Episodes() }
 // SimTime returns the watch's current simulated time in seconds.
 func (w *Watcher) SimTime() float64 { return w.c.Clock().Now() }
 
-// WatchState is the serializable snapshot of a Watcher: the
-// environment needed to rebuild the strategies plus the controller's
-// frozen progress (phase, clock, incumbent, monitor, and — when taken
-// mid-tune or mid-retune — the in-flight session's own state).
+// WatchState is the serializable snapshot of a Watcher: the resolved
+// options needed to rebuild the strategies (the tagged fields of
+// WatchOptions) plus the controller's frozen progress (phase, clock,
+// incumbent, monitor, and — when taken mid-tune or mid-retune — the
+// in-flight session's own state).
 type WatchState struct {
-	Version          int            `json:"version"`
-	Topology         string         `json:"topology"`
-	Nodes            int            `json:"nodes"`
-	Set              ParamSet       `json:"set"`
-	Seed             int64          `json:"seed"`
-	Steps            int            `json:"steps"`
-	RetuneSteps      int            `json:"retuneSteps,omitempty"`
-	TrialCost        float64        `json:"trialCost,omitempty"`
-	HoldInterval     float64        `json:"holdInterval,omitempty"`
-	Horizon          float64        `json:"horizon,omitempty"`
-	MaxEpisodes      int            `json:"maxEpisodes,omitempty"`
-	Candidates       int            `json:"candidates,omitempty"`
-	HyperSamples     int            `json:"hyperSamples,omitempty"`
-	LocalSearchIters int            `json:"localSearchIters,omitempty"`
-	MaxGPPoints      int            `json:"maxGPPoints,omitempty"`
-	Template         Config         `json:"template"`
-	Cluster          ClusterSpec    `json:"cluster"`
-	Monitor          MonitorOptions `json:"monitor"`
-	Retune           RetuneOptions  `json:"retune"`
-	// ArchiveKey is the archive record key the watch appended under;
-	// resume re-attaches it when opts.Archive is passed again.
-	ArchiveKey string       `json:"archiveKey,omitempty"`
-	Watch      *watch.State `json:"watch"`
+	Version  int    `json:"version"`
+	Topology string `json:"topology"`
+	Nodes    int    `json:"nodes"`
+	WatchOptions
+	Watch *watch.State `json:"watch"`
 }
 
 const watchStateVersion = 1
 
+// validate rejects a snapshot no watch can resume from.
+func (s *WatchState) validate() error {
+	switch {
+	case s == nil:
+		return errors.New("nil watch state")
+	case s.Version != watchStateVersion:
+		return fmt.Errorf("unsupported watch state version %d", s.Version)
+	case s.Watch == nil:
+		return errors.New("watch state has no controller state")
+	case s.Template == nil:
+		return errors.New("watch state has no template")
+	case s.Cluster == nil:
+		return errors.New("watch state has no cluster")
+	}
+	return nil
+}
+
 func (w *Watcher) wrapState(st *watch.State) *WatchState {
-	o := w.opts
 	return &WatchState{
-		Version:          watchStateVersion,
-		Topology:         w.topoName,
-		Nodes:            w.topoN,
-		Set:              o.Set,
-		Seed:             o.Seed,
-		Steps:            o.Steps,
-		RetuneSteps:      o.RetuneSteps,
-		TrialCost:        o.TrialCost,
-		HoldInterval:     o.HoldInterval,
-		Horizon:          o.Horizon,
-		MaxEpisodes:      o.MaxEpisodes,
-		Candidates:       o.Candidates,
-		HyperSamples:     o.HyperSamples,
-		LocalSearchIters: o.LocalSearchIters,
-		MaxGPPoints:      o.MaxGPPoints,
-		Template:         *o.Template,
-		Cluster:          *o.Cluster,
-		Monitor:          o.Monitor,
-		Retune:           o.Retune,
-		ArchiveKey:       o.ArchiveKey,
-		Watch:            st,
+		Version:      watchStateVersion,
+		Topology:     w.topoName,
+		Nodes:        w.topoN,
+		WatchOptions: w.opts.persisted(),
+		Watch:        st,
 	}
 }
 
@@ -432,11 +424,8 @@ func LoadWatchState(r io.Reader) (*WatchState, error) {
 	if err := json.NewDecoder(r).Decode(&s); err != nil {
 		return nil, fmt.Errorf("stormtune: decoding watch state: %w", err)
 	}
-	if s.Version != watchStateVersion {
-		return nil, fmt.Errorf("stormtune: unsupported watch state version %d", s.Version)
-	}
-	if s.Watch == nil {
-		return nil, fmt.Errorf("stormtune: watch state has no controller state")
+	if err := s.validate(); err != nil {
+		return nil, fmt.Errorf("stormtune: %w", err)
 	}
 	return &s, nil
 }
@@ -455,15 +444,13 @@ func LoadWatchStateFile(path string) (*WatchState, error) {
 // topology and a backend of the caller's choice. An in-flight session
 // snapshot is replayed against a freshly reconstructed strategy
 // (fingerprint-checked), so the resumed watch continues bit-identically
-// to one that was never interrupted — mid-retune included. opts carries
-// only the non-serializable pieces: Observer, Recorder, Snapshot hook,
-// Throttle and Retry; everything else comes from the snapshot.
+// to one that was never interrupted — mid-retune included. The watch
+// resumes with the snapshot's options; from opts it takes only the
+// runtime-only pieces: Observer, Recorder, Snapshot hook and
+// SnapshotEvery, Throttle, Retry and Archive.
 func ResumeWatcher(st *WatchState, t *Topology, b Backend, opts WatchOptions) (*Watcher, error) {
-	if st == nil || st.Watch == nil {
-		return nil, fmt.Errorf("stormtune: nil watch state")
-	}
-	if st.Version != watchStateVersion {
-		return nil, fmt.Errorf("stormtune: unsupported watch state version %d", st.Version)
+	if err := st.validate(); err != nil {
+		return nil, fmt.Errorf("stormtune: %w", err)
 	}
 	if t == nil {
 		return nil, fmt.Errorf("stormtune: nil topology")
@@ -472,58 +459,24 @@ func ResumeWatcher(st *WatchState, t *Topology, b Backend, opts WatchOptions) (*
 		return nil, fmt.Errorf("stormtune: topology has %d nodes, snapshot was taken over %d (%s)",
 			t.N(), st.Nodes, st.Topology)
 	}
-	if b == nil {
-		return nil, fmt.Errorf("stormtune: watch needs a backend")
-	}
-	resolved := WatchOptions{
-		Steps:            st.Steps,
-		RetuneSteps:      st.RetuneSteps,
-		Set:              st.Set,
-		Seed:             st.Seed,
-		TrialCost:        st.TrialCost,
-		HoldInterval:     st.HoldInterval,
-		Horizon:          st.Horizon,
-		MaxEpisodes:      st.MaxEpisodes,
-		Monitor:          st.Monitor,
-		Retune:           st.Retune,
-		Candidates:       st.Candidates,
-		HyperSamples:     st.HyperSamples,
-		LocalSearchIters: st.LocalSearchIters,
-		MaxGPPoints:      st.MaxGPPoints,
-		Template:         &st.Template,
-		Cluster:          &st.Cluster,
-		Retry:            opts.Retry,
-		Observer:         opts.Observer,
-		Recorder:         opts.Recorder,
-		Snapshot:         opts.Snapshot,
-		SnapshotEvery:    opts.SnapshotEvery,
-		Throttle:         opts.Throttle,
-	}
-	w := &Watcher{opts: resolved, topoName: st.Topology, topoN: st.Nodes}
-	if opts.Archive != nil {
-		key := st.ArchiveKey
-		if key == "" {
-			key = deriveArchiveKey(opts.Archive, t.Name, t.Fingerprint(), "watch", st.Seed)
-		}
-		arch, aerr := newWatchArchiver(opts.Archive, key, t, st.Cluster, st.Set, st.Seed)
-		if aerr != nil {
-			return nil, aerr
-		}
-		w.arch = arch
-		w.opts.Archive = opts.Archive
-		w.opts.ArchiveKey = key
-	}
-	c, err := watch.Resume(st.Watch, t, st.Cluster, st.Template, b,
-		resolved.boOptions(), w.watchOptions(resolved))
+	resolved := st.WatchOptions
+	resolved.Retry, resolved.Throttle = opts.Retry, opts.Throttle
+	resolved.Observer, resolved.Recorder = opts.Observer, opts.Recorder
+	resolved.Snapshot, resolved.SnapshotEvery = opts.Snapshot, opts.SnapshotEvery
+	resolved.Archive = opts.Archive
+	w, err := newWatcher(t, st.Topology, b, resolved)
 	if err != nil {
 		return nil, err
 	}
-	w.c = c
+	o := w.opts
+	if w.c, err = watch.Resume(st.Watch, t, *o.Cluster, *o.Template, b, o.boOptions(), w.watchOptions(o)); err != nil {
+		return nil, err
+	}
 	// Prime the recorder with the in-flight session's history so a
 	// dashboard attached to the resumed watch shows the pre-snapshot
 	// trials.
-	if resolved.Recorder != nil && st.Watch.Session != nil {
-		resolved.Recorder.Prime(st.Watch.Session)
+	if o.Recorder != nil && st.Watch.Session != nil {
+		o.Recorder.Prime(st.Watch.Session)
 	}
 	return w, nil
 }
